@@ -978,10 +978,11 @@ let reproduce_trace () =
   (* Overhead: paired off/on rounds on the 20k-replica MC hot path,
      default sampling stride, against the disarmed emission fast path.
      Each round times the two arms back-to-back so slow machine drift
-     cancels out of the ratio, and the gate takes the minimum per-round
-     overhead: a scheduler hiccup that lands on one arm of one round
-     cannot fail the gate, while a real regression inflates every
-     round. *)
+     cancels out of the ratio, and the gate takes the median per-round
+     overhead of [rounds] pairs. A minimum would let one lucky round
+     pass any regression; the median moves only when most rounds do,
+     and the interquartile range printed beside it shows how far a
+     single round can be trusted. *)
   let model =
     Core.Mixed.make ~c:300. ~r:300. ~v:15.4 ~lambda_f:0. ~lambda_s:1.69e-4 ()
   in
@@ -998,21 +999,23 @@ let reproduce_trace () =
     v
   in
   ignore (hot ()) (* warm-up: pay code/allocator warm-up outside the rounds *);
-  let pairs =
-    List.map (fun _ -> (time hot, time traced_hot)) [ 1; 2; 3; 4; 5 ]
-  in
-  let fold f = List.fold_left f infinity pairs in
-  let t_off = fold (fun acc (off, _) -> Float.min acc off) in
-  let t_on = fold (fun acc (_, on) -> Float.min acc on) in
-  let overhead = fold (fun acc (off, on) -> Float.min acc ((on -. off) /. off)) in
+  let rounds = 11 in
+  let pairs = Array.init rounds (fun _ -> (time hot, time traced_hot)) in
+  let median f = Numerics.Stats.median (Array.map f pairs) in
+  let ratios = Array.map (fun (off, on) -> (on -. off) /. off) pairs in
+  let overhead = Numerics.Stats.median ratios in
+  let q1 = Numerics.Stats.quantile ratios 0.25
+  and q3 = Numerics.Stats.quantile ratios 0.75 in
   record_metric "trace.overhead_fraction" overhead;
   Printf.printf
-    "  MC validation, 20k replicas, %d domains (best of 5 paired rounds):\n\
+    "  MC validation, 20k replicas, %d domains (median of %d paired \
+     rounds):\n\
     \  tracing off: %6.3f s\n\
-    \  tracing on:  %6.3f s (sample-every 64) -> overhead %+.2f%% (gate < \
-     3%%)\n\
+    \  tracing on:  %6.3f s (sample-every 64) -> overhead %+.2f%% (IQR \
+     %+.2f%% .. %+.2f%%, n = %d; gate < 3%%)\n\
     \  export valid: %b | traced = untraced: %b\n"
-    workers t_off t_on (100. *. overhead) valid identity;
+    workers rounds (median fst) (median snd) (100. *. overhead) (100. *. q1)
+    (100. *. q3) rounds valid identity;
   valid && identity && overhead < 0.03
 
 (* ------------------------------------------------------------------ *)

@@ -5,31 +5,40 @@ let magic = "rexspeed-journal v1"
    writes are detected by line structure + checksum, and the file can
    be inspected with standard tools. *)
 
-let hex_encode s =
-  let buffer = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buffer
+let hex_digits = "0123456789abcdef"
 
-let hex_digit c =
+let hex_encode s =
+  let n = String.length s in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code s.[i] in
+    Bytes.set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.set out ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string out
+
+(* Digit value, or -1 for a character that is not a hex digit. *)
+let hex_value c =
   match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
 let hex_decode s =
   let n = String.length s in
   if n mod 2 <> 0 then None
   else
-    let buffer = Buffer.create (n / 2) in
+    let out = Bytes.create (n / 2) in
     let rec go i =
-      if i >= n then Some (Buffer.contents buffer)
+      if i >= n / 2 then Some (Bytes.unsafe_to_string out)
       else
-        match (hex_digit s.[i], hex_digit s.[i + 1]) with
-        | Some hi, Some lo ->
-            Buffer.add_char buffer (Char.chr ((hi * 16) + lo));
-            go (i + 2)
-        | None, _ | _, None -> None
+        let hi = hex_value s.[2 * i] and lo = hex_value s.[(2 * i) + 1] in
+        if hi < 0 || lo < 0 then None
+        else begin
+          Bytes.set out i (Char.chr ((hi * 16) + lo));
+          go (i + 1)
+        end
     in
     go 0
 
@@ -75,7 +84,7 @@ let reopen ?(sync = true) ~path ~valid_bytes () =
 
 let append w ~index ~payload =
   Out_channel.output_string w.oc
-    (checksummed_line (Printf.sprintf "R %d %s" index (hex_encode payload)))
+    (checksummed_line ("R " ^ string_of_int index ^ " " ^ hex_encode payload))
 
 let close w = Out_channel.close w.oc
 

@@ -103,6 +103,111 @@ let test_xoshiro_copy_independence () =
   check_bool "copies evolve independently" true
     (Prng.Xoshiro256.state a <> Prng.Xoshiro256.state b)
 
+(* Known-answer values recorded from the boxed-record implementation
+   this unboxed one replaced: the stream layout is part of every
+   journal, seed and golden output, so any drift must fail here. Seed
+   0 also matches the reference C code seeded through SplitMix64. *)
+let known_first_eight =
+  [
+    ( 0L,
+      [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+        0x6aa594f1262d2d2cL; 0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+        0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ] );
+    ( 20160816L,
+      [ 0x06c68d2fe01de244L; 0x14f13be38bd48181L; 0xbb7f0856c1564f8fL;
+        0x5db8b28ac1c388f6L; 0x070d9a61689dbed4L; 0xa4685692b020bb3cL;
+        0x8a0d92ce5f37dea8L; 0x4a0ffaed0ebe24a7L ] );
+  ]
+
+let test_xoshiro_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      let g = Prng.Xoshiro256.of_seed seed in
+      List.iteri
+        (fun i x ->
+          check_int64
+            (Printf.sprintf "seed %Ld draw %d" seed i)
+            x (Prng.Xoshiro256.next g))
+        expected)
+    known_first_eight
+
+let check_state msg (e0, e1, e2, e3) (a0, a1, a2, a3) =
+  List.iter2 (check_int64 msg) [ e0; e1; e2; e3 ] [ a0; a1; a2; a3 ]
+
+let test_xoshiro_jump_known_answers () =
+  let g = Prng.Xoshiro256.of_seed 7L in
+  Prng.Xoshiro256.jump g;
+  check_state "after 1 jump"
+    ( 0x7eb3c0607fc567e2L, 0x551d653fa4de09ebL,
+      0x95c90b5c98ca9ef6L, 0x99c20c8c8db7bd5eL )
+    (Prng.Xoshiro256.state g);
+  Prng.Xoshiro256.jump g;
+  Prng.Xoshiro256.jump g;
+  check_state "after 3 jumps"
+    ( 0x9eaa67fa665fe09dL, 0x3231452a6990b88cL,
+      0xbe5766932f5697fcL, 0xf06f98859069b309L )
+    (Prng.Xoshiro256.state g)
+
+(* [jump] written out through the public API: xor together the states
+   selected by the jump polynomial's bits while stepping with [next]. *)
+let reference_jump g =
+  let coeffs =
+    [ 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL;
+      0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL ]
+  in
+  let acc = ref (0L, 0L, 0L, 0L) in
+  List.iter
+    (fun coeff ->
+      for b = 0 to 63 do
+        if Int64.logand coeff (Int64.shift_left 1L b) <> 0L then begin
+          let a0, a1, a2, a3 = !acc
+          and s0, s1, s2, s3 = Prng.Xoshiro256.state g in
+          acc :=
+            ( Int64.logxor a0 s0, Int64.logxor a1 s1,
+              Int64.logxor a2 s2, Int64.logxor a3 s3 )
+        end;
+        ignore (Prng.Xoshiro256.next g)
+      done)
+    coeffs;
+  Prng.Xoshiro256.of_state !acc
+
+let test_xoshiro_jump_matches_reference () =
+  for seed = 0 to 199 do
+    let g = Prng.Xoshiro256.of_seed (Int64.of_int ((seed * 7919) - 500)) in
+    for _ = 1 to seed mod 5 do
+      ignore (Prng.Xoshiro256.next g)
+    done;
+    let expected = reference_jump (Prng.Xoshiro256.copy g) in
+    Prng.Xoshiro256.jump g;
+    check_state
+      (Printf.sprintf "seed %d" seed)
+      (Prng.Xoshiro256.state expected)
+      (Prng.Xoshiro256.state g)
+  done
+
+(* The state must stay unboxed: [jump] allocates nothing and [next]
+   nothing beyond its boxed 64-bit result (header, custom operations
+   pointer, payload). *)
+let test_xoshiro_allocation () =
+  let g = Prng.Xoshiro256.of_seed 11L in
+  let calls = 10_000 in
+  (* Read all three counters before checking anything: the checks
+     themselves allocate. *)
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Prng.Xoshiro256.jump g
+  done;
+  let jumped = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Prng.Xoshiro256.next g))
+  done;
+  let stepped = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "10k jumps allocate nothing" 0. (jumped -. before);
+  let per_call = (stepped -. jumped) /. float_of_int calls in
+  if per_call > 3. then
+    Alcotest.failf "next allocates %.2f words per call (boxed result: 3)"
+      per_call
+
 (* ------------------------------------------------------------------ *)
 (* Rng distributions                                                   *)
 
@@ -228,6 +333,20 @@ let test_split () =
   check_raises_invalid "negative count" (fun () ->
       ignore (Prng.Rng.split parent (-1)))
 
+(* First draw of each [Rng.split] child of seed 42, recorded from the
+   boxed-record implementation: pins the replica stream layout. *)
+let test_split_known_answers () =
+  let children = Prng.Rng.split (Prng.Rng.create ~seed:42) 5 in
+  let expected =
+    [| 0x1.5780b2e0c2ecp-4; 0x1.4021bbe0f2fd2p-2; 0x1.0ceec47dcea89p-1;
+       0x1.5fa9d24ec964p-6; 0x1.457e635f6045ep-1 |]
+  in
+  Array.iteri
+    (fun i c ->
+      checkf ~eps:0. (Printf.sprintf "child %d" i) expected.(i)
+        (Prng.Rng.float c))
+    children
+
 let test_float_uniformity_chi_square () =
   (* 50k draws over 20 bins: chi-square against the uniform law at the
      0.1% level. A deterministic seed keeps this stable. *)
@@ -296,6 +415,12 @@ let () =
           Alcotest.test_case "jump" `Quick test_xoshiro_jump;
           Alcotest.test_case "copy independence" `Quick
             test_xoshiro_copy_independence;
+          Alcotest.test_case "known answers" `Quick test_xoshiro_known_answers;
+          Alcotest.test_case "jump known answers" `Quick
+            test_xoshiro_jump_known_answers;
+          Alcotest.test_case "jump matches reference" `Quick
+            test_xoshiro_jump_matches_reference;
+          Alcotest.test_case "allocation" `Quick test_xoshiro_allocation;
         ] );
       ( "rng",
         [
@@ -309,6 +434,8 @@ let () =
           Alcotest.test_case "int" `Slow test_int;
           Alcotest.test_case "pick" `Quick test_pick;
           Alcotest.test_case "split" `Quick test_split;
+          Alcotest.test_case "split known answers" `Quick
+            test_split_known_answers;
           Alcotest.test_case "uniformity chi-square" `Slow
             test_float_uniformity_chi_square;
           Alcotest.test_case "exponential chi-square" `Slow

@@ -37,6 +37,22 @@ let test_checksum_vectors () =
     "one-bit inputs diverge" false
     (Resilience.Checksum.string "journal\x00" = Resilience.Checksum.string "journal\x01")
 
+(* The table-driven renderer must agree with [Printf "%016Lx"] on every
+   word: checksums are compared as text on disk, in request
+   fingerprints and on the shard ring. *)
+let test_checksum_to_hex_matches_printf () =
+  let rng = Prng.Splitmix64.create 2016L in
+  let edges = [| 0L; -1L; 1L; Int64.min_int; Int64.max_int; 0xfL |] in
+  for i = 0 to 100_000 + Array.length edges - 1 do
+    let x =
+      if i < Array.length edges then edges.(i) else Prng.Splitmix64.next rng
+    in
+    let expected = Printf.sprintf "%016Lx" x in
+    let actual = Resilience.Checksum.to_hex x in
+    if not (String.equal expected actual) then
+      Alcotest.failf "to_hex %Ld: expected %s, got %s" x expected actual
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
 
@@ -496,11 +512,55 @@ let test_journal_header_and_hex () =
   Alcotest.(check string) "header is Journal.magic" Resilience.Journal.magic
     first_line
 
+(* Random payloads over the full byte range: every byte value is
+   forced to appear, the encoding must match the original
+   [Printf "%02x"] rendering byte for byte (old journals resume), and
+   decoding must invert it. *)
+let test_journal_hex_codec_roundtrip () =
+  let rng = Prng.Rng.create ~seed:256 in
+  let all_bytes = String.init 256 Char.chr in
+  let reference s =
+    String.concat ""
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  for round = 0 to 499 do
+    let random =
+      String.init (Prng.Rng.int rng ~bound:64) (fun _ ->
+          Char.chr (Prng.Rng.int rng ~bound:256))
+    in
+    let payload = if round mod 50 = 0 then all_bytes ^ random else random in
+    let encoded = Resilience.Journal.hex_encode payload in
+    Alcotest.(check string) "matches %02x rendering" (reference payload) encoded;
+    Alcotest.(check (option string))
+      "round-trip" (Some payload)
+      (Resilience.Journal.hex_decode encoded)
+  done
+
+let test_journal_hex_decode_cases () =
+  let decode = Resilience.Journal.hex_decode in
+  Alcotest.(check (option string))
+    "upper-case digits" (Some "\xab\xcd\xef\x09")
+    (decode "ABCDEF09");
+  Alcotest.(check (option string))
+    "mixed case" (Some "\xab\xcd") (decode "aBcD");
+  Alcotest.(check (option string)) "empty" (Some "") (decode "");
+  Alcotest.(check (option string)) "odd length" None (decode "abc");
+  List.iter
+    (fun bad ->
+      Alcotest.(check (option string)) ("non-hex " ^ String.escaped bad) None (decode bad))
+    [ "0g"; "g0"; "zz"; "00 1"; "0x"; "ab\n0"; "\xff00" ]
+
 let () =
   Alcotest.run "resilience"
     [
       ( "checksum",
-        [ Alcotest.test_case "FNV-1a vectors" `Quick test_checksum_vectors ] );
+        [
+          Alcotest.test_case "FNV-1a vectors" `Quick test_checksum_vectors;
+          Alcotest.test_case "to_hex matches Printf" `Quick
+            test_checksum_to_hex_matches_printf;
+        ] );
       ( "journal",
         [
           Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
@@ -512,6 +572,10 @@ let () =
           Alcotest.test_case "bad magic" `Quick test_journal_bad_magic;
           Alcotest.test_case "header and hex codec" `Quick
             test_journal_header_and_hex;
+          Alcotest.test_case "hex codec round-trip" `Quick
+            test_journal_hex_codec_roundtrip;
+          Alcotest.test_case "hex decode cases" `Quick
+            test_journal_hex_decode_cases;
         ] );
       ( "chaos",
         [
