@@ -53,65 +53,9 @@ let fresh_hardening () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Connections                                                         *)
-
-type conn = {
-  fd : Unix.file_descr;
-  pending : Buffer.t;  (* bytes read but not yet line-terminated *)
-  mutable eof : bool;  (* peer closed its writing end *)
-  mutable dead : bool;  (* drop after the current round's responses *)
-  mutable last_activity : float;  (* [Metrics.now_s] of the last read *)
-}
-
-type write_outcome = Wrote | Write_dead | Write_timed_out
-
-(* Blocking-ish write on a non-blocking fd: wait for writability when
-   the kernel buffer is full, give up (and drop the connection) after
-   a stuck [give_up_s] — a reader that slow is not coming back.
-   [torn] serves the bytes one at a time (chaos I/O), exercising every
-   partial-write path without changing what the peer reads. *)
-let write_all ~give_up_s ~torn conn s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  let timed_out = ref false in
-  let give_up_at = Metrics.now_s () +. give_up_s in
-  (try
-     while !off < len && not conn.dead do
-       let n = if torn then 1 else len - !off in
-       match Unix.write conn.fd bytes !off n with
-       | written -> off := !off + written
-       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-           if Metrics.now_s () > give_up_at then begin
-             conn.dead <- true;
-             timed_out := true
-           end
-           else
-             let wait =
-               Float.min 1. (Float.max 0.01 (give_up_at -. Metrics.now_s ()))
-             in
-             ignore (Unix.select [] [ conn.fd ] [] wait)
-       | exception Unix.Unix_error (EINTR, _, _) -> ()
-     done
-   with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-     conn.dead <- true);
-  if !timed_out then Write_timed_out else if conn.dead then Write_dead else Wrote
-
-(* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
 let float_or_null v = if Float.is_finite v then Json.Float v else Json.Null
-
-let error_response ?(extra = []) ~id ~code message =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "error");
-      ( "error",
-        Json.Obj
-          ((("code", Json.String code) :: extra)
-          @ [ ("message", Json.String message) ]) );
-    ]
 
 let result_response ~id ~route ~fingerprint ~cached ~(rendering : Render.rendering) =
   Json.Obj
@@ -283,7 +227,7 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
           route = "invalid";
           ok = false;
           response =
-            error_response ~id:Json.Null ~code:"parse"
+            Conn.error_response ~id:Json.Null ~code:"parse"
               ~extra:[ ("position", Json.Int e.position) ]
               e.message;
           latency_s = elapsed ();
@@ -296,7 +240,7 @@ let classify ~ordinal ~cache ~metrics ~hardening ~queue_depth ~max_queue
             {
               route = "invalid";
               ok = false;
-              response = error_response ~id ~code:"bad-request" reason;
+              response = Conn.error_response ~id ~code:"bad-request" reason;
               latency_s = elapsed ();
             }
       | Ok Protocol.Health ->
@@ -419,8 +363,7 @@ let run ?pool ?on_ready options =
         (* The admission queue: complete request lines accepted but not
            yet dispatched. Bounded by [max_queue]; persists across
            sweeps, so the drain path must empty it too. *)
-        let queue = ref [] in
-        let queue_depth = ref 0 in
+        let queue = Queue.create () in
         let respond conn ~ordinal job =
           let route, ok, response, latency_s =
             match job with
@@ -439,19 +382,12 @@ let run ?pool ?on_ready options =
           (* Chaos: a deterministically chosen response is never
              written — the connection drops instead, as if the network
              gave out. The request still counts as failed. *)
-          if io_fires Resilience.Chaos.Drop ~ordinal then conn.dead <- true;
+          if io_fires Resilience.Chaos.Drop ~ordinal then Conn.kill conn;
           let torn = io_fires Resilience.Chaos.Torn ~ordinal in
           (* Write before recording: a response that never reached its
-             client is a failed request, whatever the solver said. *)
-          let wrote =
-            match write_all ~give_up_s ~torn conn (Json.encode response ^ "\n") with
-            | Wrote -> true
-            | Write_dead -> false
-            | Write_timed_out ->
-                hardening.io_timeouts <- hardening.io_timeouts + 1;
-                Tracing.Tracer.count Tracing.Span.Io_timeouts;
-                false
-          in
+             client is a failed request, whatever the solver said. A
+             live peer's partly buffered response counts as written. *)
+          let wrote = Conn.send ~torn conn (Json.encode response) in
           Metrics.record metrics ~route ~ok:(ok && wrote) ~latency_s;
           incr served;
           Tracing.Tracer.complete ~id:ordinal ~label:route
@@ -468,25 +404,26 @@ let run ?pool ?on_ready options =
         let admit ?(shedding = true) conn line =
           let ordinal = !admitted in
           incr admitted;
-          if shedding && options.max_queue > 0 && !queue_depth >= options.max_queue
+          let queue_depth = Queue.length queue in
+          if shedding && options.max_queue > 0 && queue_depth >= options.max_queue
           then begin
             hardening.shed <- hardening.shed + 1;
             Tracing.Tracer.count Tracing.Span.Sheds;
             let retry_after_ms =
-              50 * (1 + (!queue_depth / Int.max 1 options.max_inflight))
+              50 * (1 + (queue_depth / Int.max 1 options.max_inflight))
             in
             let response =
-              error_response ~id:(request_id line) ~code:"shed"
+              Conn.error_response ~id:(request_id line) ~code:"shed"
                 ~extra:[ ("retry_after_ms", Json.Int retry_after_ms) ]
-                (Printf.sprintf "admission queue full (%d queued)" !queue_depth)
+                (Printf.sprintf "admission queue full (%d queued)" queue_depth)
             in
-            if not conn.dead then
+            if not (Conn.dead conn) then
               respond conn ~ordinal
                 (Immediate { route = "shed"; ok = false; response; latency_s = 0. })
           end
           else begin
-            queue := !queue @ [ (conn, line, Metrics.now_s (), ordinal) ];
-            incr queue_depth
+            Queue.add (conn, line, Metrics.now_s (), ordinal) queue;
+            Conn.add_owed conn 1
           end
         in
         (* Sampled dual execution: every [verify_sample]-th computed
@@ -553,18 +490,14 @@ let run ?pool ?on_ready options =
            ones already past their deadline, classify the rest on the
            dispatcher (cache lookups included), fan the misses out
            over the pool, answer in order. *)
-        let process q =
-          let batch, rest =
-            let rec split n = function
-              | [] -> ([], [])
-              | l when n = 0 -> ([], l)
-              | x :: tl ->
-                  let taken, left = split (n - 1) tl in
-                  (x :: taken, left)
-            in
-            split options.max_inflight q
+        let process () =
+          let rec take n =
+            if n = 0 || Queue.is_empty queue then []
+            else
+              let x = Queue.pop queue in
+              x :: take (n - 1)
           in
-          queue_depth := List.length rest;
+          let batch = take options.max_inflight in
           let expired ~admitted_at line =
             let age = Metrics.now_s () -. admitted_at in
             if options.deadline_ms > 0 && age > deadline_s then begin
@@ -576,7 +509,7 @@ let run ?pool ?on_ready options =
                      route = "deadline";
                      ok = false;
                      response =
-                       error_response ~id:(request_id line)
+                       Conn.error_response ~id:(request_id line)
                          ~code:"deadline_exceeded"
                          ~extra:
                            [
@@ -597,7 +530,8 @@ let run ?pool ?on_ready options =
                   | Some job -> job
                   | None ->
                       classify ~ordinal ~cache ~metrics ~hardening
-                        ~queue_depth:!queue_depth ~max_queue:options.max_queue
+                        ~queue_depth:(Queue.length queue)
+                        ~max_queue:options.max_queue
                         ~domains line
                 in
                 (conn, ordinal, admitted_at, job))
@@ -622,9 +556,10 @@ let run ?pool ?on_ready options =
           let remaining = ref solved in
           List.iter
             (fun (conn, ordinal, admitted_at, job) ->
+              Conn.add_owed conn (-1);
               match job with
               | Immediate _ | Solve { cached = Some _; _ } ->
-                  if not conn.dead then respond conn ~ordinal job
+                  if not (Conn.dead conn) then respond conn ~ordinal job
               | Solve { id; request; fingerprint; cached = None } ->
                   let outcome, latency_s =
                     match !remaining with
@@ -648,7 +583,7 @@ let run ?pool ?on_ready options =
                           hardening.deadline_exceeded <-
                             hardening.deadline_exceeded + 1;
                           Tracing.Tracer.count Tracing.Span.Deadline_timeouts;
-                          ( error_response ~id ~code:"deadline_exceeded"
+                          ( Conn.error_response ~id ~code:"deadline_exceeded"
                               ~extra:
                                 [
                                   ( "elapsed_ms",
@@ -663,227 +598,88 @@ let run ?pool ?on_ready options =
                               ~cached:false ~rendering,
                             true )
                     | Error message ->
-                        (error_response ~id ~code:"internal" message, false)
+                        (Conn.error_response ~id ~code:"internal" message, false)
                   in
-                  if not conn.dead then
+                  if not (Conn.dead conn) then
                     respond conn ~ordinal
                       (Immediate { route; ok; response; latency_s }))
-            classified;
-          rest
+            classified
         in
-        (* Pull complete lines out of a connection's pending buffer. *)
-        let extract_lines conn =
-          let data = Buffer.contents conn.pending in
-          Buffer.clear conn.pending;
-          let lines = ref [] in
-          let start = ref 0 in
-          String.iteri
-            (fun i c ->
-              if c = '\n' then begin
-                lines := String.sub data !start (i - !start) :: !lines;
-                start := i + 1
-              end)
-            data;
-          let remainder = String.sub data !start (String.length data - !start) in
-          if String.length remainder > options.max_request_bytes then begin
-            (* No line boundary within the limit: no way to resync. *)
-            let outcome =
-              write_all ~give_up_s ~torn:false conn
-                (Json.encode
-                   (error_response ~id:Json.Null ~code:"too-large"
-                      (Printf.sprintf "request exceeds %d bytes"
-                         options.max_request_bytes))
-                ^ "\n")
-            in
-            ignore (outcome : write_outcome);
-            Metrics.record metrics ~route:"invalid" ~ok:false ~latency_s:0.;
-            conn.dead <- true
-          end
-          else Buffer.add_string conn.pending remainder;
-          List.rev !lines
-        in
-        let line_jobs conn =
-          List.filter_map
-            (fun line ->
-              if String.trim line = "" then None
-              else if String.length line > options.max_request_bytes then
-                Some
-                  ( conn,
-                    (* Oversize but line-delimited: answer and resync. *)
-                    `Oversize )
-              else Some (conn, `Line line))
-            (extract_lines conn)
-        in
-        let read_conn conn =
-          let chunk = Bytes.create 4096 in
-          let rec loop () =
-            match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-            | 0 -> conn.eof <- true
-            | n ->
-                Buffer.add_subbytes conn.pending chunk 0 n;
-                conn.last_activity <- Metrics.now_s ();
-                loop ()
-            | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-            | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-            | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) ->
-                conn.eof <- true;
-                conn.dead <- true
-          in
-          loop ()
-        in
-        let accept listener =
-          match Unix.accept listener with
-          | fd, _ ->
-              Unix.set_nonblock fd;
-              conns :=
-                !conns
-                @ [
-                    {
-                      fd;
-                      pending = Buffer.create 256;
-                      eof = false;
-                      dead = false;
-                      last_activity = Metrics.now_s ();
-                    };
-                  ]
-          | exception
-              Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _)
-            ->
-              ()
-        in
-        (* Slow-client protection: a connection stalled mid-request —
-           bytes buffered but no line completed, nothing read for
-           longer than the I/O timeout — is holding daemon memory
-           hostage and is dropped. Idle connections with an empty
-           buffer keep their keepalive. *)
-        let reap_stalled () =
-          if options.io_timeout_ms > 0 then begin
-            let now = Metrics.now_s () in
-            List.iter
-              (fun conn ->
-                if
-                  (not conn.dead)
-                  && Buffer.length conn.pending > 0
-                  && now -. conn.last_activity > give_up_s
-                then begin
-                  hardening.io_timeouts <- hardening.io_timeouts + 1;
-                  Tracing.Tracer.count Tracing.Span.Io_timeouts;
-                  conn.dead <- true
-                end)
-              !conns
-          end
-        in
-        let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
+        let reserve = List.length listeners in
         let listener_fds = List.map fst listeners in
         List.iter
           (fun (_, name) ->
             Printf.eprintf "rexspeed serve: listening on %s\n%!" name)
           listeners;
         Option.iter (fun f -> f ()) on_ready;
-        let enqueue_ready ?shedding () =
+        (* One sweep: accept, read and admit complete lines, dispatch
+           one batch (the queue persists across sweeps, which is what
+           makes [max_queue] a real bound and keeps accepts responsive
+           under a backlog), then reap. A backlog means there is work
+           regardless of the sockets: poll instead of sleeping. *)
+        let sweep ~accepting ~shedding ~timeout =
+          let timeout = if Queue.is_empty queue then timeout else 0. in
+          let ready, readable =
+            Conn.wait
+              ~readers:(if accepting then listener_fds else [])
+              !conns timeout
+          in
+          List.iter
+            (fun listener ->
+              match
+                Conn.accept ~max_line:options.max_request_bytes ~reserve
+                  listener
+              with
+              | Some conn -> conns := conn :: !conns
+              | None -> ())
+            ready;
           List.iter
             (fun conn ->
-              if not conn.dead then
-                List.iter
-                  (fun (conn, entry) ->
-                    match entry with
-                    | `Line line -> admit ?shedding conn line
-                    | `Oversize ->
-                        let outcome =
-                          write_all ~give_up_s ~torn:false conn
-                            (Json.encode
-                               (error_response ~id:Json.Null ~code:"too-large"
-                                  (Printf.sprintf "request exceeds %d bytes"
-                                     options.max_request_bytes))
-                            ^ "\n")
-                        in
-                        ignore (outcome : write_outcome);
-                        Metrics.record metrics ~route:"invalid" ~ok:false
-                          ~latency_s:0.)
-                  (line_jobs conn))
-            !conns
-        in
-        let sweep ~timeout =
-          (* A backlog means there is work regardless of the sockets:
-             poll instead of sleeping. *)
-          let timeout = if !queue <> [] then 0. else timeout in
-          (match
-             Unix.select (listener_fds @ List.map (fun c -> c.fd) !conns) [] []
-               timeout
-           with
-          | readable, _, _ ->
               List.iter
-                (fun fd ->
-                  if List.mem fd listener_fds then accept fd
-                  else
-                    match List.find_opt (fun c -> c.fd = fd) !conns with
-                    | Some conn -> read_conn conn
-                    | None -> ())
-                readable
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          enqueue_ready ();
-          (* One dispatch batch per sweep: the queue persists across
-             sweeps, which is what makes [max_queue] a real bound and
-             keeps accepts responsive under a backlog. *)
-          queue := process !queue;
-          reap_stalled ();
-          (* Reap connections: EOF only after their answers are out —
-             the queue may still hold admitted requests from a peer
-             that half-closed, and those deserve their responses. *)
-          let queued conn =
-            List.exists (fun (c, _, _, _) -> c == conn) !queue
-          in
-          let live, gone =
-            List.partition
-              (fun c ->
-                (not c.dead)
-                && not (c.eof && Buffer.length c.pending = 0 && not (queued c)))
-              !conns
-          in
-          List.iter (fun c -> close_fd c.fd) gone;
-          conns := live
+                (function
+                  | Conn.Line line -> admit ~shedding conn line
+                  | Conn.Too_large ->
+                      Metrics.record metrics ~route:"invalid" ~ok:false
+                        ~latency_s:0.)
+                (Conn.read conn))
+            readable;
+          process ();
+          (* Slow-client protection: a peer that leaves a request half
+             sent, or its answers unread, for longer than the I/O
+             timeout is dropped. Idle keepalives are left alone. *)
+          let live, stalls = Conn.reap ~give_up_s !conns in
+          conns := live;
+          if stalls > 0 then begin
+            hardening.io_timeouts <- hardening.io_timeouts + stalls;
+            Tracing.Tracer.count ~n:stalls Tracing.Span.Io_timeouts
+          end
         in
         while not (Atomic.get stop_requested) do
-          sweep ~timeout:0.2
+          sweep ~accepting:true ~shedding:true ~timeout:0.2
         done;
         (* Drain: stop accepting, then answer everything already
            admitted — including queued-but-unstarted requests — plus
            any fully-received request still sitting in a socket
-           buffer, then close. Shedding is off: a request the client
-           already sent gets an answer, not a retry hint. *)
-        List.iter close_fd listener_fds;
-        let drain_sweep () =
-          let progress = ref true in
-          while !queue <> [] || !progress do
-            progress := false;
-            (* Only sockets that can still produce bytes: an EOF'd or
-               dead fd stays select-readable forever. *)
-            let readable_conns =
-              List.filter (fun c -> not (c.dead || c.eof)) !conns
-            in
-            (match
-               Unix.select (List.map (fun c -> c.fd) readable_conns) [] [] 0.
-             with
-            | readable, _, _ ->
-                List.iter
-                  (fun fd ->
-                    match List.find_opt (fun c -> c.fd = fd) !conns with
-                    | Some conn -> read_conn conn
-                    | None -> ())
-                  readable
-            | exception Unix.Unix_error (EINTR, _, _) -> ());
-            let before = !admitted in
-            enqueue_ready ~shedding:false ();
-            if !admitted > before then progress := true;
-            while !queue <> [] do
-              queue := process !queue
-            done
-          done
+           buffer, and wait for the answers to leave (bounded by the
+           I/O timeout). Shedding is off: a request the client already
+           sent gets an answer, not a retry hint. *)
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+          listener_fds;
+        let rec drain () =
+          let before = !admitted in
+          let unsent = List.exists Conn.unsent !conns in
+          sweep ~accepting:false ~shedding:false
+            ~timeout:(if unsent then 0.05 else 0.);
+          if
+            (not (Queue.is_empty queue))
+            || !admitted > before
+            || List.exists Conn.unsent !conns
+          then drain ()
         in
-        if !conns <> [] || !queue <> [] then
+        if !conns <> [] || not (Queue.is_empty queue) then
           Tracing.Tracer.with_span ~id:0 ~label:"daemon.drain"
-            Tracing.Span.Daemon_request drain_sweep;
-        List.iter (fun c -> close_fd c.fd) !conns;
+            Tracing.Span.Daemon_request drain;
+        List.iter Conn.close !conns;
         conns := [];
         Printf.eprintf "rexspeed serve: drained, %d request(s) served\n%!"
           !served;

@@ -11,9 +11,12 @@
     {2 Concurrency model}
 
     One dispatcher domain owns every socket, the cache and the
-    metrics; solver work fans out over a [Parallel.Pool]. Each
-    iteration drains readable sockets, admits complete request lines
-    into a bounded queue, and dispatches one batch of at most
+    metrics; solver work fans out over a [Parallel.Pool]. Every socket
+    is a non-blocking {!Conn.t}: a response the peer is not reading
+    waits in that connection's outbox, so no client can stall the
+    loop. Each iteration reads what the sockets hold, admits complete
+    request lines into a bounded queue, and dispatches one batch of at
+    most
     [max_inflight] requests: cache hits and [health]/[stats] answer
     inline, the batch of cache misses maps over the pool (a single
     miss runs on the dispatcher so the solver's own internal
@@ -32,8 +35,9 @@
     [deadline_exceeded] error; {b load shedding} ([max_queue]) bounds
     the admission queue and answers the overflow immediately with a
     [shed] error carrying [retry_after_ms]; {b I/O timeouts}
-    ([io_timeout_ms]) drop both unwritable response sockets and
-    connections stalled mid-request; {b verified re-execution}
+    ([io_timeout_ms]) drop a connection whose unsent answers or
+    half-sent request have not moved for that long; {b verified
+    re-execution}
     ([verify_sample]) re-executes every Nth computed miss and compares
     response fingerprints ([Resilience.Checksum]) before commit — on
     divergence one authoritative re-execution decides, so a silently
@@ -80,9 +84,10 @@ type options = {
           dispatched, or whose computation finishes past it, is
           answered with a [deadline_exceeded] error. [0] disables. *)
   io_timeout_ms : int;
-      (** Socket read/write timeout: responses that cannot be written
-          within it drop the connection, as do connections stalled
-          mid-request for longer. [0] disables (waits forever). *)
+      (** Slow-peer timeout: a connection holding unsent response
+          bytes or a partial request line with no progress in either
+          direction for this long is dropped. [0] disables (waits
+          forever). *)
   max_queue : int;
       (** Bound on the admission queue; overflowing requests are shed
           with a structured [shed] error carrying [retry_after_ms].

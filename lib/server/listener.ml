@@ -1,9 +1,10 @@
 let tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   try
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
     Unix.listen fd 64;
+    Unix.set_nonblock fd;
     Ok (fd, Printf.sprintf "tcp:127.0.0.1:%d" port)
   with Unix.Unix_error (err, _, _) ->
     Unix.close fd;
@@ -44,10 +45,11 @@ let unix path =
   match stale_socket_check path with
   | Error _ as e -> e
   | Ok () -> (
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       try
         Unix.bind fd (Unix.ADDR_UNIX path);
         Unix.listen fd 64;
+        Unix.set_nonblock fd;
         Ok (fd, "unix:" ^ path)
       with Unix.Unix_error (err, _, _) ->
         Unix.close fd;

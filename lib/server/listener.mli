@@ -10,7 +10,8 @@ val bind :
   port:int option ->
   socket_path:string option ->
   ((Unix.file_descr * string) list, string) result
-(** Bind and listen on the requested endpoints. Returns one
+(** Bind and listen on the requested endpoints, non-blocking and
+    close-on-exec (spawned workers must not inherit them). Returns one
     [(fd, name)] pair per listener, where [name] is a printable
     endpoint ("tcp:127.0.0.1:PORT" or "unix:PATH") for log lines.
     Fails if neither endpoint is requested, if a bind fails (e.g.

@@ -1,8 +1,7 @@
 (* The consistent-hash shard router. Single-threaded like the daemon's
    dispatcher: one select loop owns the public listeners, every client
    connection and one persistent pipelined connection per worker. All
-   socket I/O below goes through the bounded non-blocking helpers;
-   nothing here may block forever on a peer. *)
+   socket I/O goes through [Conn], so nothing here blocks on a peer. *)
 
 type options = {
   port : int option;
@@ -30,61 +29,17 @@ let default_options =
 let stop_requested = Atomic.make false
 let stop () = Atomic.set stop_requested true
 
-(* How long a write to a stuck peer may stall before the connection is
-   declared dead, how often each worker is probed, and how long an
-   unanswered probe may age before the worker is failed over. *)
-let write_give_up_s = 30.
+(* How long a connection may hold unsent bytes or a partial line
+   without progress before it is declared dead (a worker link is then
+   failed over), how often each worker is probed, and how often a down
+   shard is revived. *)
+let give_up_s = 30.
 let probe_interval_s = 0.5
 let revive_interval_s = 2.0
 let max_respawn_attempts = 3
 
-(* ------------------------------------------------------------------ *)
-(* Clients                                                             *)
-
-type client = {
-  fd : Unix.file_descr;
-  pending : Buffer.t;
-  mutable eof : bool;
-  mutable dead : bool;
-  mutable inflight : int;  (* requests awaiting a response *)
-}
-
-(* Bounded write on a non-blocking fd (same contract as the daemon's):
-   wait for writability when the kernel buffer is full, give up and
-   mark the connection dead after [write_give_up_s]. *)
-let write_client client s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  let give_up_at = Metrics.now_s () +. write_give_up_s in
-  try
-    while !off < len && not client.dead do
-      match Unix.write client.fd bytes !off (len - !off) with
-      | written -> off := !off + written
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          if Metrics.now_s () > give_up_at then client.dead <- true
-          else ignore (Unix.select [] [ client.fd ] [] 0.1)
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-    done
-  with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-    client.dead <- true
-
-(* ------------------------------------------------------------------ *)
-(* Responses the router answers itself                                 *)
-
-let error_response ?(extra = []) ~id ~code message =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "error");
-      ( "error",
-        Json.Obj
-          ((("code", Json.String code) :: extra)
-          @ [ ("message", Json.String message) ]) );
-    ]
-
-let respond_local (client : client) response =
-  if not client.dead then write_client client (Json.encode response ^ "\n")
+let respond_local client response =
+  ignore (Conn.send client (Json.encode response) : bool)
 
 (* ------------------------------------------------------------------ *)
 (* Pending entries                                                     *)
@@ -93,7 +48,7 @@ let respond_local (client : client) response =
    live shard, composed into a single response when the last leg
    lands. Down shards contribute a [None] part immediately. *)
 type agg = {
-  agg_client : client;
+  agg_client : Conn.t;
   agg_id : Json.t;
   agg_route : string;
   mutable agg_waiting : int;
@@ -101,27 +56,29 @@ type agg = {
 }
 
 type entry_kind =
-  | Relay of { client : client; id : Json.t; route : string }
+  | Relay of { client : Conn.t; id : Json.t }
   | Probe
   | Fanout of agg
 
-(* One line owed to a worker. [sent] flips on write and back on
-   failover replay; the association list per shard stays in ordinal
-   order, so replay preserves the original send order (no Hashtbl, no
-   iteration-order hazard). *)
+(* One line owed to a worker. *)
 type entry = {
   ordinal : int;
   line : string;  (* rewritten request line, no terminator *)
   kind : entry_kind;
-  mutable sent : bool;
-  mutable sent_at : float;
 }
 
+(* A shard's pending entries: [pending] finds an entry by ordinal (a
+   worker may answer out of order: it sheds at admission), [order]
+   keeps every entry in send order so failover replays in ordinal
+   order. An answered entry leaves [pending] at once and [order]
+   lazily, from its head. The table is only ever looked up, never
+   iterated, so its order cannot reach a response. *)
 type shard = {
   worker : Supervisor.worker;
-  mutable fd : Unix.file_descr option;
-  buf : Buffer.t;  (* partial response line from the worker *)
-  mutable entries : entry list;  (* pending, oldest first *)
+  mutable link : Conn.t option;
+  pending : (int, entry) Hashtbl.t;
+  order : entry Queue.t;
+  mutable probe_sent_at : float option;  (* the outstanding probe *)
   mutable last_probe_at : float;
   mutable down : bool;
 }
@@ -198,7 +155,7 @@ let restore_id ~id line rest_at =
       | Ok other -> Json.encode other
       | Error _ ->
           Json.encode
-            (error_response ~id ~code:"internal" "unparseable shard response"))
+            (Conn.error_response ~id ~code:"internal" "unparseable shard response"))
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide aggregation                                              *)
@@ -219,20 +176,18 @@ let sum_parts parts path =
       match part with Some json -> acc + int_at path json | None -> acc)
     0 parts
 
+(* Client requests awaiting a worker: every pending entry but the
+   probes. *)
+let in_flight shards =
+  Array.fold_left
+    (fun acc s ->
+      acc + Hashtbl.length s.pending
+      - if Option.is_some s.probe_sent_at then 1 else 0)
+    0 shards
+
 let router_json ~counters ~shards =
   let respawns =
     Array.fold_left (fun acc s -> acc + s.worker.Supervisor.respawns) 0 shards
-  in
-  let in_flight =
-    Array.fold_left
-      (fun acc s ->
-        acc
-        + List.length
-            (List.filter
-               (fun e ->
-                 match e.kind with Relay _ | Fanout _ -> true | Probe -> false)
-               s.entries))
-      0 shards
   in
   Json.Obj
     [
@@ -240,7 +195,7 @@ let router_json ~counters ~shards =
       ("failovers", Json.Int counters.failovers);
       ("respawns", Json.Int respawns);
       ("replayed", Json.Int counters.replayed);
-      ("in_flight", Json.Int in_flight);
+      ("in_flight", Json.Int (in_flight shards));
     ]
 
 let compose_health ~counters ~shards agg =
@@ -380,9 +335,10 @@ let run ?on_ready options =
                     ~socket_path:
                       (Filename.concat runtime_dir
                          (Printf.sprintf "worker-%d.sock" i));
-                fd = None;
-                buf = Buffer.create 256;
-                entries = [];
+                link = None;
+                pending = Hashtbl.create 64;
+                order = Queue.create ();
+                probe_sent_at = None;
                 last_probe_at = 0.;
                 down = false;
               })
@@ -403,23 +359,18 @@ let run ?on_ready options =
           ("serve" :: "--socket" :: shard.worker.Supervisor.socket_path
          :: options.worker_args)
         in
-        let close_worker_fd shard =
-          match shard.fd with
-          | Some fd ->
-              close_fd fd;
-              shard.fd <- None;
-              Buffer.clear shard.buf
-          | None -> ()
+        let close_link shard =
+          Option.iter Conn.close shard.link;
+          shard.link <- None
         in
         let connect_worker shard =
-          close_worker_fd shard;
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          close_link shard;
+          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           match
             Unix.connect fd (Unix.ADDR_UNIX shard.worker.Supervisor.socket_path)
           with
           | () ->
-              Unix.set_nonblock fd;
-              shard.fd <- Some fd;
+              shard.link <- Some (Conn.create fd);
               Ok ()
           | exception Unix.Unix_error (err, _, _) ->
               close_fd fd;
@@ -446,47 +397,27 @@ let run ?on_ready options =
               | Error _ as e -> e
               | Ok () -> connect_worker shard)
         in
-        (* Bounded write to a worker; a stall means the worker is gone
-           or wedged, and the caller fails the shard over. *)
-        let write_worker fd s =
-          let bytes = Bytes.of_string s in
-          let len = Bytes.length bytes in
-          let off = ref 0 in
-          let give_up_at = Metrics.now_s () +. write_give_up_s in
-          let ok = ref true in
-          (try
-             while !off < len && !ok do
-               match Unix.write fd bytes !off (len - !off) with
-               | written -> off := !off + written
-               | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-                   if Metrics.now_s () > give_up_at then ok := false
-                   else ignore (Unix.select [] [ fd ] [] 0.1)
-               | exception Unix.Unix_error (EINTR, _, _) -> ()
-             done
-           with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-             ok := false);
-          !ok
+        let take_entry shard ordinal =
+          match Hashtbl.find_opt shard.pending ordinal with
+          | None -> None
+          | Some _ as found ->
+              Hashtbl.remove shard.pending ordinal;
+              while
+                (not (Queue.is_empty shard.order))
+                && not (Hashtbl.mem shard.pending (Queue.peek shard.order).ordinal)
+              do
+                ignore (Queue.pop shard.order : entry)
+              done;
+              found
         in
-        (* Send every unsent pending entry, in ordinal order. *)
-        let send_pending shard =
-          match shard.fd with
-          | None -> Error "no worker connection"
-          | Some fd ->
-              let rec loop = function
-                | [] -> Ok ()
-                | entry :: rest ->
-                    if entry.sent then loop rest
-                    else if write_worker fd (entry.line ^ "\n") then begin
-                      entry.sent <- true;
-                      entry.sent_at <- Metrics.now_s ();
-                      loop rest
-                    end
-                    else Error "write to worker stalled"
-              in
-              loop shard.entries
+        let pending_in_order shard =
+          List.of_seq
+            (Seq.filter
+               (fun e -> Hashtbl.mem shard.pending e.ordinal)
+               (Queue.to_seq shard.order))
         in
         let finish_fanout agg =
-          agg.agg_client.inflight <- agg.agg_client.inflight - 1;
+          Conn.add_owed agg.agg_client (-1);
           let response =
             match agg.agg_route with
             | "health" -> compose_health ~counters ~shards agg
@@ -505,10 +436,10 @@ let run ?on_ready options =
         let abandon_entry shard entry =
           match entry.kind with
           | Probe -> ()
-          | Relay { client; id; route = _ } ->
-              client.inflight <- client.inflight - 1;
+          | Relay { client; id } ->
+              Conn.add_owed client (-1);
               respond_local client
-                (error_response ~id ~code:"shard_unavailable"
+                (Conn.error_response ~id ~code:"shard_unavailable"
                    ~extra:
                      [
                        ( "shard",
@@ -518,80 +449,44 @@ let run ?on_ready options =
               incr served
           | Fanout agg -> record_part agg shard.worker.Supervisor.index None
         in
+        let abandon_all shard =
+          let live = pending_in_order shard in
+          Hashtbl.reset shard.pending;
+          Queue.clear shard.order;
+          shard.probe_sent_at <- None;
+          List.iter (abandon_entry shard) live
+        in
         (* Handle one complete response line from a worker. Unmatched
            ordinals (e.g. a duplicate surfacing after a replay already
            answered) are dropped: a client hears exactly one response
            per request. *)
         let handle_worker_line shard line =
-          if String.trim line = "" then ()
-          else
-            match response_ordinal line with
-            | None -> ()
-            | Some (ordinal, rest_at) -> (
-                let found =
-                  List.find_opt (fun e -> e.ordinal = ordinal) shard.entries
-                in
-                match found with
-                | None -> ()
-                | Some entry -> (
-                    shard.entries <-
-                      List.filter (fun e -> e.ordinal <> ordinal) shard.entries;
-                    match entry.kind with
-                    | Probe -> ()
-                    | Relay { client; id; route = _ } ->
-                        client.inflight <- client.inflight - 1;
-                        if not client.dead then
-                          write_client client (restore_id ~id line rest_at ^ "\n");
-                        incr served
-                    | Fanout agg ->
-                        let part =
-                          match Json.decode line with
-                          | Ok json -> Some json
-                          | Error _ -> None
-                        in
-                        record_part agg shard.worker.Supervisor.index part))
+          match response_ordinal line with
+          | None -> ()
+          | Some (ordinal, rest_at) -> (
+              match take_entry shard ordinal with
+              | None -> ()
+              | Some entry -> (
+                  match entry.kind with
+                  | Probe -> shard.probe_sent_at <- None
+                  | Relay { client; id } ->
+                      Conn.add_owed client (-1);
+                      ignore (Conn.send client (restore_id ~id line rest_at) : bool);
+                      incr served
+                  | Fanout agg ->
+                      let part =
+                        match Json.decode line with
+                        | Ok json -> Some json
+                        | Error _ -> None
+                      in
+                      record_part agg shard.worker.Supervisor.index part))
         in
-        let extract_worker_lines shard =
-          let data = Buffer.contents shard.buf in
-          Buffer.clear shard.buf;
-          let lines = ref [] in
-          let start = ref 0 in
-          String.iteri
-            (fun i c ->
-              if c = '\n' then begin
-                lines := String.sub data !start (i - !start) :: !lines;
-                start := i + 1
-              end)
-            data;
-          Buffer.add_string shard.buf
-            (String.sub data !start (String.length data - !start));
-          List.rev !lines
-        in
-        (* Read whatever the worker has written; complete lines are
-           handled, a partial tail stays buffered. Returns [false] on
-           EOF or a connection error — the failover trigger. *)
-        let read_worker shard =
-          match shard.fd with
-          | None -> true
-          | Some fd ->
-              let chunk = Bytes.create 4096 in
-              let healthy = ref true in
-              let rec loop () =
-                match Unix.read fd chunk 0 (Bytes.length chunk) with
-                | 0 -> healthy := false
-                | n ->
-                    Buffer.add_subbytes shard.buf chunk 0 n;
-                    loop ()
-                | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-                    ()
-                | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-                | exception Unix.Unix_error ((ECONNRESET | EBADF | EPIPE), _, _)
-                  ->
-                    healthy := false
-              in
-              loop ();
-              List.iter (handle_worker_line shard) (extract_worker_lines shard);
-              !healthy
+        let read_link shard link =
+          List.iter
+            (function
+              | Conn.Line line -> handle_worker_line shard line
+              | Conn.Too_large -> ())
+            (Conn.read link)
         in
         (* Failover: salvage already-committed responses, kill and
            respawn the worker, replay what is still owed. Bounded
@@ -609,11 +504,11 @@ let run ?on_ready options =
           Printf.eprintf "rexspeed serve: router: shard %d failover (%s)\n%!"
             index reason;
           (* Responses the worker already produced are committed work:
-             relay them instead of recomputing. The partial tail in
-             the buffer is dropped — its entry stays pending and is
+             relay them instead of recomputing. A torn partial line goes
+             with the closed link — its entry stays pending and is
              replayed whole. *)
-          ignore (read_worker shard : bool);
-          close_worker_fd shard;
+          Option.iter (read_link shard) shard.link;
+          close_link shard;
           Supervisor.kill shard.worker;
           let rec attempt k =
             match spawn_worker shard with
@@ -622,50 +517,47 @@ let run ?on_ready options =
                 Supervisor.kill shard.worker;
                 if k >= max_respawn_attempts then Error e else attempt (k + 1)
           in
-          match attempt 1 with
+          (match attempt 1 with
           | Ok () ->
               shard.down <- false;
               shard.worker.Supervisor.respawns <-
                 shard.worker.Supervisor.respawns + 1;
               Tracing.Tracer.count Tracing.Span.Shard_respawns;
-              let replayed = ref 0 in
-              List.iter
-                (fun entry ->
-                  if entry.sent then begin
-                    entry.sent <- false;
-                    incr replayed
-                  end)
-                shard.entries;
-              counters.replayed <- counters.replayed + !replayed;
-              Tracing.Tracer.count ~n:!replayed Tracing.Span.Router_replays;
-              (match send_pending shard with
-              | Ok () -> ()
-              | Error _ ->
-                  (* Freshly spawned yet unwritable: give up on the
-                     shard for now rather than recurse. *)
-                  close_worker_fd shard;
-                  Supervisor.kill shard.worker;
-                  shard.down <- true;
-                  List.iter (abandon_entry shard) shard.entries;
-                  shard.entries <- []);
-              shard.last_probe_at <- Metrics.now_s ()
+              let live = pending_in_order shard in
+              let replayed = List.length live in
+              counters.replayed <- counters.replayed + replayed;
+              Tracing.Tracer.count ~n:replayed Tracing.Span.Router_replays;
+              if Option.is_some shard.probe_sent_at then
+                shard.probe_sent_at <- Some (Metrics.now_s ());
+              let resent =
+                match shard.link with
+                | Some link -> List.for_all (fun e -> Conn.send link e.line) live
+                | None -> false
+              in
+              if not resent then begin
+                (* Freshly spawned yet unwritable: give up on the shard
+                   for now rather than recurse. *)
+                close_link shard;
+                Supervisor.kill shard.worker;
+                shard.down <- true;
+                abandon_all shard
+              end
           | Error e ->
               Printf.eprintf
                 "rexspeed serve: router: shard %d down (%s)\n%!" index e;
               shard.down <- true;
-              List.iter (abandon_entry shard) shard.entries;
-              shard.entries <- [];
-              shard.last_probe_at <- Metrics.now_s ()
+              abandon_all shard);
+          shard.last_probe_at <- Metrics.now_s ()
         in
         let enqueue shard entry =
-          shard.entries <- shard.entries @ [ entry ];
-          if not shard.down then
-            match send_pending shard with
-            | Ok () -> ()
-            | Error reason -> failover ~reason shard
+          Hashtbl.replace shard.pending entry.ordinal entry;
+          Queue.add entry shard.order;
+          match shard.link with
+          | Some link when Conn.send link entry.line -> ()
+          | Some _ | None -> failover ~reason:"worker connection closed" shard
         in
-        let fanout (client : client) ~id route =
-          client.inflight <- client.inflight + 1;
+        let fanout client ~id route =
+          Conn.add_owed client 1;
           let down_parts =
             Array.to_list shards
             |> List.filter (fun s -> s.down)
@@ -693,19 +585,17 @@ let run ?on_ready options =
                       Printf.sprintf "{\"id\":%d,\"route\":%s}" ordinal
                         (Json.encode (Json.String route));
                     kind = Fanout agg;
-                    sent = false;
-                    sent_at = 0.;
                   })
               live
         in
-        let route_line (client : client) line =
+        let route_line client line =
           let ordinal = fresh_ordinal () in
           Tracing.Tracer.with_span ~id:ordinal Tracing.Span.Router_route
           @@ fun () ->
           match Json.decode line with
           | Error e ->
               respond_local client
-                (error_response ~id:Json.Null ~code:"parse"
+                (Conn.error_response ~id:Json.Null ~code:"parse"
                    ~extra:[ ("position", Json.Int e.position) ]
                    e.message);
               incr served
@@ -716,7 +606,7 @@ let run ?on_ready options =
               match Protocol.parse json with
               | Error reason ->
                   respond_local client
-                    (error_response ~id ~code:"bad-request" reason);
+                    (Conn.error_response ~id ~code:"bad-request" reason);
                   incr served
               | Ok Protocol.Health -> fanout client ~id "health"
               | Ok Protocol.Stats -> fanout client ~id "stats"
@@ -728,97 +618,20 @@ let run ?on_ready options =
                   let shard = shards.(index) in
                   if shard.down then begin
                     respond_local client
-                      (error_response ~id ~code:"shard_unavailable"
+                      (Conn.error_response ~id ~code:"shard_unavailable"
                          ~extra:[ ("shard", Json.Int index) ]
                          "shard worker unavailable");
                     incr served
                   end
                   else begin
-                    client.inflight <- client.inflight + 1;
+                    Conn.add_owed client 1;
                     enqueue shard
                       {
                         ordinal;
                         line = rewrite_request ~ordinal line;
-                        kind = Relay { client; id; route = Protocol.route request };
-                        sent = false;
-                        sent_at = 0.;
+                        kind = Relay { client; id };
                       }
                   end)
-        in
-        (* Client-side line framing, same rules as the daemon. *)
-        let extract_client_lines (client : client) =
-          let data = Buffer.contents client.pending in
-          Buffer.clear client.pending;
-          let lines = ref [] in
-          let start = ref 0 in
-          String.iteri
-            (fun i c ->
-              if c = '\n' then begin
-                lines := String.sub data !start (i - !start) :: !lines;
-                start := i + 1
-              end)
-            data;
-          let remainder =
-            String.sub data !start (String.length data - !start)
-          in
-          if String.length remainder > options.max_request_bytes then begin
-            respond_local client
-              (error_response ~id:Json.Null ~code:"too-large"
-                 (Printf.sprintf "request exceeds %d bytes"
-                    options.max_request_bytes));
-            client.dead <- true
-          end
-          else Buffer.add_string client.pending remainder;
-          List.rev !lines
-        in
-        let handle_client_lines (client : client) =
-          List.iter
-            (fun line ->
-              if String.trim line = "" then ()
-              else if String.length line > options.max_request_bytes then
-                respond_local client
-                  (error_response ~id:Json.Null ~code:"too-large"
-                     (Printf.sprintf "request exceeds %d bytes"
-                        options.max_request_bytes))
-              else route_line client line)
-            (extract_client_lines client)
-        in
-        let read_client (client : client) =
-          let chunk = Bytes.create 4096 in
-          let rec loop () =
-            match Unix.read client.fd chunk 0 (Bytes.length chunk) with
-            | 0 -> client.eof <- true
-            | n ->
-                Buffer.add_subbytes client.pending chunk 0 n;
-                loop ()
-            | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-            | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-            | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) ->
-                client.eof <- true;
-                client.dead <- true
-          in
-          loop ();
-          handle_client_lines client
-        in
-        let accept listener =
-          match Unix.accept listener with
-          | fd, _ ->
-              Unix.set_nonblock fd;
-              clients :=
-                !clients
-                @ [
-                    {
-                      fd;
-                      pending = Buffer.create 256;
-                      eof = false;
-                      dead = false;
-                      inflight = 0;
-                    };
-                  ]
-          | exception
-              Unix.Unix_error
-                ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) ->
-              ()
         in
         (* Liveness: process exits caught by waitpid, wedged workers by
            a stalled health probe, down shards periodically revived. *)
@@ -834,113 +647,82 @@ let run ?on_ready options =
               end
               else if not (Supervisor.alive shard.worker) then
                 failover ~reason:"worker process exited" shard
-              else begin
-                let stalled =
-                  List.exists
-                    (fun e ->
-                      (match e.kind with Probe -> true | _ -> false)
-                      && e.sent
-                      && now -. e.sent_at > probe_timeout_s)
-                    shard.entries
-                in
-                if stalled then failover ~reason:"health probe stalled" shard
-                else if
-                  now -. shard.last_probe_at > probe_interval_s
-                  && not
-                       (List.exists
-                          (fun e ->
-                            match e.kind with Probe -> true | _ -> false)
-                          shard.entries)
-                then begin
-                  shard.last_probe_at <- now;
-                  let ordinal = fresh_ordinal () in
-                  enqueue shard
-                    {
-                      ordinal;
-                      line =
-                        Printf.sprintf "{\"id\":%d,\"route\":\"health\"}"
+              else
+                match shard.probe_sent_at with
+                | Some at when now -. at > probe_timeout_s ->
+                    failover ~reason:"health probe stalled" shard
+                | Some _ -> ()
+                | None ->
+                    if now -. shard.last_probe_at > probe_interval_s then begin
+                      shard.last_probe_at <- now;
+                      shard.probe_sent_at <- Some now;
+                      let ordinal = fresh_ordinal () in
+                      enqueue shard
+                        {
                           ordinal;
-                      kind = Probe;
-                      sent = false;
-                      sent_at = 0.;
-                    }
-                end
-              end)
+                          line =
+                            Printf.sprintf "{\"id\":%d,\"route\":\"health\"}"
+                              ordinal;
+                          kind = Probe;
+                        }
+                    end)
+            shards
+        in
+        let listener_fds = List.map fst listeners in
+        let reserve = List.length listeners + options.shards in
+        let shard_of_link conn =
+          Array.find_opt
+            (fun s ->
+              match s.link with Some link -> link == conn | None -> false)
             shards
         in
         let sweep ~accepting ~timeout =
-          let listener_fds = if accepting then List.map fst listeners else [] in
-          let client_fds =
-            List.filter_map
-              (fun (c : client) -> if c.dead || c.eof then None else Some c.fd)
-              !clients
-          in
-          let worker_fds =
-            Array.to_list shards |> List.filter_map (fun s -> s.fd)
-          in
-          (match
-             Unix.select (listener_fds @ client_fds @ worker_fds) [] [] timeout
-           with
-          | readable, _, _ ->
-              List.iter
-                (fun fd ->
-                  if List.mem fd listener_fds then accept fd
-                  else
-                    match
-                      Array.to_list shards
-                      |> List.find_opt (fun s -> s.fd = Some fd)
-                    with
-                    | Some shard ->
-                        if not (read_worker shard) then
-                          failover ~reason:"worker connection closed" shard
-                    | None -> (
-                        match
-                          List.find_opt (fun (c : client) -> c.fd = fd) !clients
-                        with
-                        | Some client -> read_client client
-                        | None -> ()))
-                readable
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          probe_tick ();
-          (* Reap clients: EOF only after their answers are out. *)
-          let live, gone =
-            List.partition
-              (fun (c : client) ->
-                (not c.dead)
-                && not
-                     (c.eof
-                     && Buffer.length c.pending = 0
-                     && c.inflight <= 0))
-              !clients
+          let links = Array.to_list shards |> List.filter_map (fun s -> s.link) in
+          let ready, readable =
+            Conn.wait
+              ~readers:(if accepting then listener_fds else [])
+              (links @ !clients) timeout
           in
           List.iter
-            (fun (c : client) ->
-              (* Entries owed to a dropped client still complete on
-                 their worker; their responses are discarded on
-                 relay because [dead] is checked before writing. *)
-              close_fd c.fd)
-            gone;
-          clients := live
-        in
-        let pending_work () =
-          Array.fold_left
-            (fun acc s ->
-              acc
-              + List.length
-                  (List.filter
-                     (fun e ->
-                       match e.kind with
-                       | Relay _ | Fanout _ -> true
-                       | Probe -> false)
-                     s.entries))
-            0 shards
+            (fun listener ->
+              match
+                Conn.accept ~max_line:options.max_request_bytes ~reserve
+                  listener
+              with
+              | Some client -> clients := client :: !clients
+              | None -> ())
+            ready;
+          List.iter
+            (fun conn ->
+              match shard_of_link conn with
+              | Some shard -> read_link shard conn
+              | None ->
+                  List.iter
+                    (function
+                      | Conn.Line line -> route_line conn line
+                      | Conn.Too_large -> ())
+                    (Conn.read conn))
+            readable;
+          Array.iter
+            (fun shard ->
+              match shard.link with
+              | Some link when Conn.eof link || Conn.dead link ->
+                  failover ~reason:"worker connection closed" shard
+              | Some link when Conn.stalled link ~give_up_s ->
+                  failover ~reason:"write to worker stalled" shard
+              | Some _ | None -> ())
+            shards;
+          probe_tick ();
+          (* Entries owed to a dropped client still complete on their
+             worker; their answers go nowhere because it is dead. *)
+          clients := fst (Conn.reap ~give_up_s !clients)
         in
         (* Startup: spawn the whole fleet before accepting traffic. *)
         let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
         let cleanup () =
           Array.iter
             (fun shard ->
-              close_worker_fd shard;
+              close_link shard;
               Supervisor.terminate shard.worker ~grace_ms:5_000)
             shards;
           (try Unix.rmdir runtime_dir with Unix.Unix_error _ -> ());
@@ -961,7 +743,7 @@ let run ?on_ready options =
         in
         match startup with
         | Error e ->
-            List.iter (fun (fd, _) -> close_fd fd) listeners;
+            List.iter close_fd listener_fds;
             Error e
         | Ok () ->
             if options.handle_signals then begin
@@ -980,28 +762,24 @@ let run ?on_ready options =
               sweep ~accepting:true ~timeout:0.2
             done;
             (* Drain: stop accepting, answer everything in flight plus
-               any fully-received request still in a socket buffer,
-               then stop the fleet. Time-bounded so a wedged worker
-               cannot hang shutdown: leftovers get a structured
-               error. *)
-            List.iter (fun (fd, _) -> close_fd fd) listeners;
-            let give_up_at = Metrics.now_s () +. 30. in
+               any fully-received request still in a socket buffer, let
+               the answers leave, then stop the fleet. Time-bounded so a
+               wedged worker or a client that never reads cannot hang
+               shutdown: leftovers get a structured error. *)
+            List.iter close_fd listener_fds;
+            let give_up_at = Metrics.now_s () +. give_up_s in
             let quiet = ref 0 in
             while
-              (pending_work () > 0 || !quiet < 2)
+              (in_flight shards > 0 || !quiet < 2 || List.exists Conn.unsent !clients)
               && Metrics.now_s () < give_up_at
             do
               let before = !served in
               sweep ~accepting:false ~timeout:0.05;
-              if pending_work () = 0 && !served = before then incr quiet
+              if in_flight shards = 0 && !served = before then incr quiet
               else quiet := 0
             done;
-            Array.iter
-              (fun shard ->
-                List.iter (abandon_entry shard) shard.entries;
-                shard.entries <- [])
-              shards;
-            List.iter (fun (c : client) -> close_fd c.fd) !clients;
+            Array.iter abandon_all shards;
+            List.iter Conn.close !clients;
             clients := [];
             Printf.eprintf
               "rexspeed serve: router drained, %d response(s) relayed\n%!"

@@ -34,8 +34,8 @@
     {2 Failover}
 
     A worker is declared dead when its process exits, its connection
-    breaks, a write to it stalls, or a periodic health probe goes
-    unanswered. Failover then: drains any responses the worker already
+    breaks, its link holds unsent requests with no progress for 30 s,
+    or a periodic health probe goes unanswered. Failover then: drains any responses the worker already
     committed, SIGKILLs the process, respawns it (bounded retries),
     and replays every request still pending on that shard under its
     original ordinal. A request is answered exactly once: replay only

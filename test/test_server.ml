@@ -1133,6 +1133,168 @@ let test_metrics_window () =
       Testutil.checkf "still the all-time max" 9. r.latency_max_s
   | routes -> Alcotest.failf "expected 1 route, got %d" (List.length routes)
 
+(* ------------------------------------------------------------------ *)
+(* Connection layer                                                    *)
+
+(* A connected socket pair, SIGPIPE ignored as in the servers: [a] is
+   wrapped in a [Conn.t], [b] plays the peer. *)
+let with_pair f =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ a; b ];
+      Sys.set_signal Sys.sigpipe previous)
+  @@ fun () -> f a b
+
+let test_conn_framing () =
+  (* One byte stream cut at random points must frame into the same
+     lines, blank lines skipped, whatever the chunk boundaries. *)
+  let rng = Prng.Rng.create ~seed:1310 in
+  for round = 1 to 50 do
+    with_pair @@ fun a b ->
+    let conn = Server.Conn.create ~max_line:64 a in
+    let lines =
+      List.init
+        (1 + Prng.Rng.int rng ~bound:40)
+        (fun _ ->
+          match Prng.Rng.int rng ~bound:6 with
+          | 0 -> ""
+          | 1 -> " \t "
+          | _ ->
+              String.init
+                (1 + Prng.Rng.int rng ~bound:64)
+                (fun _ -> Char.chr (32 + Prng.Rng.int rng ~bound:95)))
+    in
+    let stream = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+    let got = ref [] in
+    let pos = ref 0 in
+    while !pos < String.length stream do
+      let n =
+        min (String.length stream - !pos) (1 + Prng.Rng.int rng ~bound:80)
+      in
+      write_all b (String.sub stream !pos n);
+      pos := !pos + n;
+      List.iter
+        (function
+          | Server.Conn.Line l -> got := l :: !got
+          | Server.Conn.Too_large ->
+              Alcotest.failf "round %d: spurious too-large" round)
+        (Server.Conn.read conn)
+    done;
+    Alcotest.(check (list string))
+      (Printf.sprintf "round %d lines" round)
+      (List.filter (fun l -> String.trim l <> "") lines)
+      (List.rev !got)
+  done
+
+let test_conn_too_large () =
+  with_pair @@ fun a b ->
+  let conn = Server.Conn.create ~max_line:16 a in
+  let answer_code () =
+    error_code (expect_ok "too-large answer" (Server.Json.decode (read_line_fd b)))
+  in
+  (* Over-long but delimited: answered, and the stream resyncs. *)
+  write_all b (String.make 20 'x' ^ "\nok\n");
+  (match Server.Conn.read conn with
+  | [ Server.Conn.Too_large; Server.Conn.Line "ok" ] -> ()
+  | _ -> Alcotest.fail "delimited over-long line not skipped");
+  Alcotest.(check (option string)) "delimited answer" (Some "too-large")
+    (answer_code ());
+  (* An over-long remainder with no newline: answered, then nothing
+     more is read and the connection is done. *)
+  write_all b (String.make 40 'y');
+  (match Server.Conn.read conn with
+  | [ Server.Conn.Too_large ] -> ()
+  | _ -> Alcotest.fail "over-long remainder not answered");
+  Alcotest.(check (option string)) "remainder answer" (Some "too-large")
+    (answer_code ());
+  write_all b "late\n";
+  Alcotest.(check int) "nothing read after the overrun" 0
+    (List.length (Server.Conn.read conn));
+  Alcotest.(check bool) "connection reaped" true
+    (fst (Server.Conn.reap ~give_up_s:infinity [ conn ]) = [])
+
+let test_conn_send_dead () =
+  with_pair @@ fun a b ->
+  let conn = Server.Conn.create a in
+  Unix.close b;
+  Alcotest.(check bool) "send reports dead" false (Server.Conn.send conn "hello");
+  Alcotest.(check bool) "dead" true (Server.Conn.dead conn);
+  Alcotest.(check bool) "connection reaped" true
+    (fst (Server.Conn.reap ~give_up_s:infinity [ conn ]) = [])
+
+let test_conn_outbox_drains () =
+  (* An outbox far larger than the kernel buffer: [send] keeps what the
+     kernel refuses without blocking, and writability sweeps deliver
+     every byte, a torn tail one byte per write, in order. *)
+  with_pair @@ fun a b ->
+  let conn = Server.Conn.create a in
+  let big = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i mod 26))) in
+  Alcotest.(check bool) "alive after a partial write" true
+    (Server.Conn.send conn big);
+  Alcotest.(check bool) "bytes left in the outbox" true (Server.Conn.unsent conn);
+  Alcotest.(check bool) "torn send queued" true
+    (Server.Conn.send ~torn:true conn "torn tail");
+  Unix.sleepf 0.01;
+  Alcotest.(check bool) "stalled while the peer reads nothing" true
+    (Server.Conn.stalled conn ~give_up_s:0.005);
+  Alcotest.(check bool) "kept under a longer give-up time" true
+    (List.memq conn (fst (Server.Conn.reap ~give_up_s:60. [ conn ])));
+  let expected = big ^ "\ntorn tail\n" in
+  let received = Buffer.create (String.length expected) in
+  let chunk = Bytes.create 65536 in
+  Unix.set_nonblock b;
+  let sweeps = ref 0 in
+  while Buffer.length received < String.length expected && !sweeps < 100_000 do
+    incr sweeps;
+    (match Unix.read b chunk 0 (Bytes.length chunk) with
+    | n -> Buffer.add_subbytes received chunk 0 n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ());
+    ignore
+      (Server.Conn.wait [ conn ] 0.01 : Unix.file_descr list * Server.Conn.t list)
+  done;
+  Alcotest.(check bool) "outbox drained" false (Server.Conn.unsent conn);
+  Alcotest.(check bool) "peer read the same bytes" true
+    (String.equal expected (Buffer.contents received))
+
+let test_conn_accept_ceiling () =
+  (* A descriptor at or above the select ceiling is refused with one
+     structured line; below it, the connection is kept. *)
+  let dir = Filename.temp_file "rexspeed-conn" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "s.sock" in
+  let listener =
+    match Server.Listener.bind ~port:None ~socket_path:(Some path) with
+    | Ok [ (fd, _) ] -> fd
+    | Ok _ | Error _ -> Alcotest.fail "cannot bind a test listener"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      (try Sys.remove path with Sys_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let refused = connect_retry path 10 in
+  let kept = connect_retry path 10 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ refused; kept ])
+  @@ fun () ->
+  Alcotest.(check bool) "refused past the ceiling" true
+    (Option.is_none (Server.Conn.accept ~reserve:1024 listener));
+  Alcotest.(check (option string)) "refusal code" (Some "too-many-connections")
+    (error_code
+       (expect_ok "refusal" (Server.Json.decode (read_line_fd refused))));
+  match Server.Conn.accept ~reserve:0 listener with
+  | Some conn -> Server.Conn.close conn
+  | None -> Alcotest.fail "connection below the ceiling refused"
+
 let () =
   Alcotest.run "server"
     [
@@ -1176,6 +1338,16 @@ let () =
             test_shard_map_resize_stability;
         ] );
       ("render", [ Alcotest.test_case "optimize" `Quick test_render ]);
+      ( "conn",
+        [
+          Alcotest.test_case "framing under random splits" `Quick
+            test_conn_framing;
+          Alcotest.test_case "too large" `Quick test_conn_too_large;
+          Alcotest.test_case "send to a closed peer" `Quick test_conn_send_dead;
+          Alcotest.test_case "outbox drains across sweeps" `Quick
+            test_conn_outbox_drains;
+          Alcotest.test_case "accept ceiling" `Quick test_conn_accept_ceiling;
+        ] );
       ( "daemon",
         [ Alcotest.test_case "end to end" `Quick test_daemon_end_to_end ] );
       ( "hardening",
